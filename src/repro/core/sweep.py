@@ -11,10 +11,10 @@ property the paper's batching strategy exists to protect on real metal.
 
 Sweeps can fan out across processes; each (workload, setting) batch is an
 independent unit of work (:class:`BatchSpec`).  The parallel path runs
-under the supervised executor (:mod:`repro.resilience.supervisor`): every
-batch has a wall-clock deadline scaled by its size, dead or hung workers
-are detected and respawned, failed attempts retry with deterministic
-seeded backoff, and a batch that exhausts its retry budget is
+under the supervised process fleet (:mod:`repro.resilience.backends`):
+every batch has a wall-clock deadline scaled by its size, dead or hung
+workers are detected and respawned, failed attempts retry with
+deterministic seeded backoff, and a batch that exhausts its retry budget is
 *quarantined* — the sweep degrades gracefully (``fail_policy="degrade"``)
 or fails fast (``fail_policy="raise"``).  Results still stream back in
 batch order, so the ``progress`` callback fires as each batch lands and
@@ -46,9 +46,10 @@ from repro.errors import ConfigError, PoisonBatchError, SweepCancelledError
 from repro.resilience.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
-    NodesBackend,
+    ProcessFleet,
     SerialBackend,
     SerialChaosFault,
+    SupervisedTask,
 )
 from repro.resilience.chaos import (
     CHAOS_CRASH_EXIT,
@@ -57,17 +58,13 @@ from repro.resilience.chaos import (
     ChaosPlan,
     apply_cache_fault,
     corrupted_payload,
-    in_node_context,
     install_chaos,
-    installed_node_fault,
     installed_worker_fault,
-    trigger_node_fault,
     trigger_worker_fault,
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.sharding import ShardPlanner, ShardReport
-from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.executor import RuntimeExecutor, apply_measurement_noise
 from repro.runtime.icv import EnvConfig
 from repro.workloads.base import Workload, workloads_for_arch
@@ -457,9 +454,9 @@ def _worker_run_batch(batch: BatchSpec):
 
     Workers ship :class:`~repro.frame.columns.RecordBlock` payloads — a
     handful of flat typed buffers plus an interning table — through the
-    supervisor's spool files instead of pickling one dict-shaped object
-    graph per record.  The supervisor side unpacks (and thereby
-    validates) them; records are bit-identical to serial execution.
+    fleet's framed links instead of pickling one dict-shaped object
+    graph per record.  The parent side unpacks (and thereby validates)
+    them; records are bit-identical to serial execution.
     """
     state = _WORKER_STATE
     return sweep_records_to_block(_execute_batch(
@@ -473,18 +470,11 @@ def _supervised_run_batch(payload: tuple, attempt: int):
     ``payload`` is ``(batch_index, batch)`` — the index keys the chaos
     plan's fault lookup, which is per ``(batch_index, attempt)`` so a
     first-attempt fault recovers on retry while a poison fault
-    (``attempts=None``) defeats every attempt.
-
-    Node-level faults fire at the transport layer inside a nodes-backend
-    node (``_node_main`` injects them before this function runs); in a
-    plain pool worker — no transport to sever — they degrade to a
-    process death with the fault's distinctive exit code, so the pool
-    backend still exercises every chaos plan.
+    (``attempts=None``) defeats every attempt.  Node-level faults never
+    reach this function: the fleet process injects them at the
+    transport layer before running the batch.
     """
     index, batch = payload
-    node_fault = installed_node_fault(index, attempt)
-    if node_fault is not None and not in_node_context():
-        trigger_node_fault(node_fault)  # never returns
     fault = installed_worker_fault(index, attempt)
     if fault == "corrupt-result":
         return corrupted_payload(index)
@@ -496,11 +486,11 @@ def _supervised_run_batch(payload: tuple, attempt: int):
 def _validate_batch_records(value: object) -> str | None:
     """Reject worker payloads that are not a batch's records.
 
-    The supervisor treats a rejection as a ``corrupt-result`` attempt
+    Every backend treats a rejection as a ``corrupt-result`` attempt
     failure, so a worker returning garbage (bit-flipped IPC, chaos
     injection) is retried instead of poisoning the dataset.  Accepts
     either form the pipeline moves: a packed
-    :class:`~repro.frame.columns.RecordBlock` (the multiprocess spool
+    :class:`~repro.frame.columns.RecordBlock` (the multiprocess frame
     payload — validated by a full decode) or a plain record list (the
     serial path).
     """
@@ -537,6 +527,28 @@ def _batch_timeout_s(n_configs: int, repetitions: int) -> float:
     return BASE_BATCH_TIMEOUT_S + PER_SAMPLE_TIMEOUT_S * n_configs * repetitions
 
 
+def _make_fleet(
+    name: str,
+    n_processes: int,
+    plan: SweepPlan,
+    space: EnvSpace,
+    chaos: ChaosPlan | None,
+    policy: RetryPolicy,
+    fail_policy: str,
+) -> ProcessFleet:
+    fleet = ProcessFleet(
+        _supervised_run_batch,
+        initializer=_init_worker,
+        initargs=(plan, space, chaos),
+        n_processes=n_processes,
+        policy=policy,
+        validate=_validate_batch_records,
+        fail_fast=(fail_policy == "raise"),
+    )
+    fleet.name = name
+    return fleet
+
+
 def _make_supervisor(
     n_workers: int,
     plan: SweepPlan,
@@ -544,17 +556,11 @@ def _make_supervisor(
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
-) -> Supervisor:
-    """The supervised worker fleet holding the sweep state (test seam)."""
-    return Supervisor(
-        _supervised_run_batch,
-        initializer=_init_worker,
-        initargs=(plan, space, chaos),
-        n_workers=n_workers,
-        policy=policy,
-        validate=_validate_batch_records,
-        fail_fast=(fail_policy == "raise"),
-    )
+) -> ProcessFleet:
+    """The ``pool`` fleet holding the sweep state (test seam): one
+    process per worker, round-robin home lanes."""
+    return _make_fleet("pool", n_workers, plan, space, chaos, policy,
+                       fail_policy)
 
 
 def _make_nodes_backend(
@@ -564,22 +570,11 @@ def _make_nodes_backend(
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
-) -> NodesBackend:
-    """The simulated multi-node fleet holding the sweep state (test seam).
-
-    One node per shard; nodes run the same entry point, initializer and
-    validator as pool workers, so a batch computes identically on every
-    backend — only the dispatch substrate differs.
-    """
-    return NodesBackend(
-        _supervised_run_batch,
-        initializer=_init_worker,
-        initargs=(plan, space, chaos),
-        n_nodes=n_nodes,
-        policy=policy,
-        validate=_validate_batch_records,
-        fail_fast=(fail_policy == "raise"),
-    )
+) -> ProcessFleet:
+    """The ``nodes`` fleet holding the sweep state (test seam): one
+    process per shard; the caller sets cache-key home lanes."""
+    return _make_fleet("nodes", n_nodes, plan, space, chaos, policy,
+                       fail_policy)
 
 
 # ----------------------------------------------------------------------
@@ -666,10 +661,12 @@ def run_sweep(
     fleet), ``"nodes"`` (simulated multi-node cluster over socket
     links, one node per shard), or ``"auto"`` — pool when
     ``n_processes > 1`` leaves more than one miss to share, else
-    serial.  ``n_shards`` partitions the miss stream: homes follow the
-    cache's key-prefix partitioning when a cache is present (else
-    round-robin), the pool interleaves dispatch across shards, and the
-    nodes backend runs one process per shard with work stealing.
+    serial.  ``pool`` and ``nodes`` are two configurations of one
+    process fleet with work stealing: ``pool`` runs ``n_processes``
+    processes with round-robin home lanes (``n_shards`` is only
+    recorded), ``nodes`` runs one process per shard with homes that
+    follow the cache's key-prefix partitioning when a cache is present
+    (else round-robin) and reports a ``shard_report``.
     Records are bit-identical across every ``backend`` × ``n_shards``
     combination (the ``sharded-execution-parity`` check pins it).
 
@@ -859,24 +856,19 @@ def run_sweep(
         if not tasks:
             consume(iter(()))  # everything was cached; nothing to run
         else:
-            planner = ShardPlanner(n_shards)
-            miss_keys = ([keys[i] for i in misses] if cache is not None
-                         else None)
             if resolved == "pool":
                 exec_backend = _make_supervisor(
                     min(n_processes, len(misses)), plan, space, chaos,
                     policy, fail_policy,
                 )
-                if n_shards > 1:
-                    homes = planner.assign(tasks, miss_keys)
-                    exec_backend.dispatch_order = (
-                        lambda ts: planner.interleave(ts, homes)
-                    )
             elif resolved == "nodes":
                 exec_backend = _make_nodes_backend(
                     n_shards, plan, space, chaos, policy, fail_policy,
                 )
-                exec_backend.home_shards = planner.assign(tasks, miss_keys)
+                exec_backend.home_shards = ShardPlanner(n_shards).assign(
+                    tasks,
+                    [keys[i] for i in misses] if cache is not None else None,
+                )
             else:
                 exec_backend = SerialBackend(
                     _serial_attempt,
@@ -906,6 +898,6 @@ def run_sweep(
     )
     result.backend = resolved
     result.n_shards = n_shards
-    if isinstance(exec_backend, NodesBackend):
+    if resolved == "nodes" and exec_backend is not None:
         result.shard_report = exec_backend.shard_report()
     return result

@@ -5,18 +5,17 @@ where partial failure is the norm: workers crash, hang, or return
 garbage, and on-disk cache entries rot.  This package keeps the sweep
 engine producing results under all of it (see ``docs/RESILIENCE.md``):
 
-- :mod:`repro.resilience.backends` — the executor-backend protocol and
-  its three substrates: in-process serial (the parity reference), the
-  supervised pool, and a simulated multi-node cluster over socket
-  links,
-- :mod:`repro.resilience.supervisor` — supervised worker processes with
-  per-batch deadlines, death/hang detection, respawn, and in-order
-  result streaming (the *pool* backend),
+- :mod:`repro.resilience.backends` — the executor-backend protocol,
+  the in-process serial reference, and the one supervised process
+  fleet behind both the ``pool`` and ``nodes`` backends: per-batch
+  deadlines, death/hang detection, respawn, work stealing, lane
+  reassignment, and in-order result streaming over socket links
+  (:mod:`repro.resilience.supervisor` keeps its ``Supervisor`` name),
 - :mod:`repro.resilience.sharding` — deterministic shard planning:
   key-prefix cache partitioning, round-robin interleave, and the
   normative work-stealing arbitration rule,
 - :mod:`repro.resilience.transport` — the length-prefixed, checksummed
-  frame protocol between the sweep parent and its nodes, with every
+  frame protocol between the sweep parent and its processes, with every
   failure mode typed and deadline-bounded,
 - :mod:`repro.resilience.policy` — deterministic exponential backoff
   with seeded jitter (SIM002-clean: no global RNG),
@@ -33,6 +32,7 @@ from repro.resilience.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
     NodesBackend,
+    ProcessFleet,
     SerialBackend,
     SerialChaosFault,
 )
@@ -48,12 +48,9 @@ from repro.resilience.chaos import (
     ChaosPlan,
     apply_cache_fault,
     corrupted_payload,
-    enter_node_context,
-    in_node_context,
     install_chaos,
     installed_node_fault,
     installed_worker_fault,
-    trigger_node_fault,
     trigger_worker_fault,
 )
 from repro.resilience.policy import RetryPolicy
@@ -97,9 +94,6 @@ __all__ = [
     "installed_worker_fault",
     "installed_node_fault",
     "trigger_worker_fault",
-    "trigger_node_fault",
-    "enter_node_context",
-    "in_node_context",
     "SupervisedTask",
     "Supervisor",
     "BACKEND_NAMES",
@@ -107,6 +101,7 @@ __all__ = [
     "SerialBackend",
     "SerialChaosFault",
     "NodesBackend",
+    "ProcessFleet",
     "PARTITION_PREFIX_HEX",
     "partition_for_key",
     "ShardPlanner",

@@ -10,21 +10,22 @@ differential check rely on.
 Seven fault kinds:
 
 - ``crash`` — the worker process dies mid-batch (``os._exit``),
-- ``hang`` — the worker sleeps past its deadline; the supervisor must
-  kill and respawn it,
+- ``hang`` — the worker sleeps past its deadline; the fleet must kill
+  and respawn it,
 - ``corrupt-result`` — the worker returns a garbage payload; the
-  supervisor's validation must catch it,
+  fleet's validation must catch it,
 - ``cache-torn-write`` — the batch's cache entry is truncated after the
   write (a simulated power cut mid-``rename``-less write),
 - ``cache-bit-flip`` — one byte of the entry is flipped on disk (media
   corruption); both cache faults must be detected by the cache's content
   checksum on the next read and quarantined to ``<key>.corrupt``,
-- ``node-lost`` — a node of the nodes backend dies *mid-message*: it
-  sends half a result frame and exits, so the parent sees a
-  :class:`~repro.errors.TruncatedFrameError` and must respawn or
-  reassign the node's shard (the pool backend degrades this to a plain
-  worker crash; the serial path simulates it),
-- ``shard-partition`` — a node's link is severed between messages
+- ``node-lost`` — a fleet process dies *mid-message*: it sends half a
+  result frame and exits, so the parent sees a
+  :class:`~repro.errors.TruncatedFrameError` and must respawn the
+  process or reassign its lane (on ``pool`` and ``nodes`` alike, since
+  every fleet process speaks the framed transport; the serial path
+  simulates it),
+- ``shard-partition`` — a process's link is severed between messages
   (abrupt socket close), the frame-boundary flavor of node loss.
 
 Worker faults default to attempt 0 only, so a retry succeeds; a fault
@@ -81,9 +82,6 @@ __all__ = [
     "installed_worker_fault",
     "installed_node_fault",
     "trigger_worker_fault",
-    "trigger_node_fault",
-    "enter_node_context",
-    "in_node_context",
     "corrupted_payload",
     "apply_cache_fault",
 ]
@@ -273,30 +271,16 @@ class ChaosPlan:
 # Worker-side injection
 # ----------------------------------------------------------------------
 #: The plan installed in this process (workers install it at init).
+#: Node faults fire at the transport layer of a fleet process
+#: (``repro.resilience.backends._node_main``); worker faults fire in
+#: the task function itself.
 _INSTALLED: ChaosPlan | None = None
-#: Whether this process is a *node* of the nodes backend.  Node faults
-#: fire at the transport layer inside a node (half-frame, abrupt
-#: close); in a plain pool worker — which has no transport — they
-#: degrade to a process death so every backend still exercises the
-#: fault (see ``_supervised_run_batch``).
-_NODE_CONTEXT = False
 
 
 def install_chaos(plan: ChaosPlan | None) -> None:
     """Install (or clear) the chaos plan for this process's workers."""
     global _INSTALLED
     _INSTALLED = plan
-
-
-def enter_node_context() -> None:
-    """Mark this process as a nodes-backend node (set at node startup)."""
-    global _NODE_CONTEXT
-    _NODE_CONTEXT = True
-
-
-def in_node_context() -> bool:
-    """Whether this process is a nodes-backend node."""
-    return _NODE_CONTEXT
 
 
 def installed_worker_fault(batch_index: int, attempt: int) -> str | None:
@@ -319,22 +303,6 @@ def trigger_worker_fault(kind: str) -> None:
         os._exit(CHAOS_CRASH_EXIT)
     if kind == "hang":
         time.sleep(HANG_SLEEP_S)
-
-
-def trigger_node_fault(kind: str) -> None:
-    """Die the way the given node fault dies (process-death flavor).
-
-    Used by pool workers — which have no socket transport — to degrade
-    a node fault to a plain process death with the fault's distinctive
-    exit code.  Inside a real node, ``_node_main`` injects the fault at
-    the transport layer instead (half-frame or abrupt close) *before*
-    exiting with the same code.
-    """
-    if kind == "node-lost":
-        os._exit(CHAOS_NODE_LOST_EXIT)
-    if kind == "shard-partition":
-        os._exit(CHAOS_PARTITION_EXIT)
-    raise ConfigError(f"unknown node fault kind {kind!r}")
 
 
 def corrupted_payload(batch_index: int) -> list:
@@ -481,7 +449,7 @@ class ServiceChaosPlan:
 
 
 def apply_cache_fault(path: str | os.PathLike, kind: str) -> None:
-    """Corrupt one on-disk cache entry in place (supervisor side)."""
+    """Corrupt one on-disk cache entry in place (sweep-parent side)."""
     path = Path(path)
     data = path.read_bytes()
     if kind == "cache-torn-write":

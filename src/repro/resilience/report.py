@@ -1,7 +1,8 @@
 """Failure accounting for supervised sweeps.
 
-Both execution paths — the multiprocess :class:`Supervisor` and the
-serial inline loop in :func:`repro.core.sweep.run_sweep` — record every
+Both execution paths — the multiprocess
+:class:`~repro.resilience.backends.ProcessFleet` and the in-process
+:class:`~repro.resilience.backends.SerialBackend` — record every
 failed attempt in a :class:`FailureLedger`; the ledger condenses into a
 :class:`FailureReport` attached to the :class:`~repro.core.sweep.SweepResult`
 (and carried by :class:`~repro.errors.PoisonBatchError` under
@@ -27,8 +28,8 @@ __all__ = [
 ]
 
 #: How one attempt of one batch can fail.  ``node-lost`` and
-#: ``shard-partition`` are nodes-backend kinds: the node carrying the
-#: batch died mid-message / was severed between messages.
+#: ``shard-partition`` are transport kinds: the fleet process carrying
+#: the batch died mid-message / was severed between messages.
 FAILURE_KINDS = (
     "crash", "timeout", "error", "corrupt-result",
     "node-lost", "shard-partition",

@@ -1,7 +1,8 @@
 """Shard planning for multi-backend sweep execution.
 
 A *shard* is one lane of sweep execution: the serial backend has one,
-the pool and nodes backends have one per worker/node.  The planner in
+the process fleet behind the pool and nodes backends has one per
+process.  The planner in
 this module answers three questions deterministically — so the parity
 checks can pin the answers — without touching any executor:
 
@@ -13,9 +14,9 @@ checks can pin the answers — without touching any executor:
    round-robin by index.
 2. **Dispatch order** — :meth:`ShardPlanner.interleave` permutes the
    batch stream round-robin across shards while preserving each
-   shard's internal order.  Backends execute in this order; results
-   are still yielded in submission order, so records never depend on
-   the shard count.
+   shard's internal order.  The process fleet orders its work by home
+   lanes and stealing instead; results are yielded in submission order
+   either way, so records never depend on the shard count.
 3. **Rebalance** — :func:`simulate_rebalance` runs the work-stealing
    arbitration rule in virtual time, producing the steal schedule a
    backend with the given queue shapes and speeds would follow.

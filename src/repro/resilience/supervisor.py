@@ -1,509 +1,13 @@
-"""Supervised multiprocess execution: deadlines, respawn, retry.
+"""The supervised worker fleet under its ``pool`` name.
 
-This replaces the bare ``multiprocessing.Pool.imap`` dispatch the sweep
-engine used to rely on.  A pool stream has three failure modes that each
-kill an entire 240k-sample campaign: a worker exception aborts the whole
-``imap`` iterator, a crashed worker loses its in-flight chunk forever,
-and a hung worker stalls the stream with no diagnosis.  The
-:class:`Supervisor` instead tracks every batch as its own assignment:
-
-- each task runs under a wall-clock **deadline**; a worker that blows it
-  is killed and respawned, and the task is retried,
-- **worker death** (crash, OOM-kill, chaos ``os._exit``) is detected by
-  liveness polling; the dead worker's assignment is retried on a fresh
-  process,
-- failed attempts back off per the deterministic
-  :class:`~repro.resilience.policy.RetryPolicy`; once the budget is
-  exhausted the task is quarantined as *poison* and the stream degrades
-  gracefully (yields None) or fails fast
-  (:class:`~repro.errors.PoisonBatchError`), per ``fail_fast``,
-- results stream back **in task order** regardless of completion order,
-  so the consumer's records and progress callbacks are bit-identical to
-  serial execution.
-
-Every failure lands in the shared
-:class:`~repro.resilience.report.FailureLedger`; completed-but-unconsumed
-results stay available through :meth:`Supervisor.completed_unyielded` so
-an interrupted sweep can flush landed work to its cache before
-re-raising.
-
-Two IPC decisions exist specifically to survive abrupt worker death
-(``os._exit``, OOM-kill, SIGTERM on a blown deadline), which a shared
-``multiprocessing.Queue`` does not:
-
-- **one outbox per worker** — a queue's write lock lives in shared
-  memory, so a worker killed mid-``put`` leaves it held forever and
-  every sibling's ``put`` deadlocks behind it (the failure that makes
-  ``concurrent.futures`` declare its whole pool broken).  Private
-  outboxes contain the jam to the dying worker, whose queue dies with
-  it and is replaced on respawn,
-- **results spool through files** — bulky payloads are pickled to a
-  spool file and only the path travels through the queue, keeping every
-  frame far below the pipe's atomic-write size (``PIPE_BUF``).  A worker
-  killed mid-result can therefore never leave a *partial* frame that
-  would block the supervisor's reader mid-``recv`` forever; it leaves
-  either a complete tiny message or nothing.  Sweep workers hand the
-  spool packed :class:`~repro.frame.columns.RecordBlock` batches
-  (``array.array`` buffers pickle as raw bytes — see
-  ``docs/COLUMNAR.md``), so spool files stay compact at full-grid
-  batch sizes.
+``Supervisor`` is :class:`~repro.resilience.backends.ProcessFleet`, the
+one process fleet behind both the ``pool`` and ``nodes`` backends; see
+:mod:`repro.resilience.backends` for its dispatch and recovery model.
 """
 
-from __future__ import annotations
-
-import heapq
-import multiprocessing
-import os
-import pickle
-import queue as _queue
-import shutil
-import tempfile
-import time
-from collections import deque
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
-
-from repro.errors import PoisonBatchError, ResilienceError
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.report import FailureLedger
+from repro.resilience.backends import ProcessFleet, SupervisedTask
 
 __all__ = ["SupervisedTask", "Supervisor"]
 
-
-@dataclass(frozen=True)
-class SupervisedTask:
-    """One unit of supervised work.
-
-    ``task_id`` is the submission position (results stream in this
-    order); ``index`` is the caller-facing identity used for retry
-    jitter, chaos lookup and the failure report; ``identity`` is the
-    duck-typed batch the report describes (a ``BatchSpec``).
-    """
-
-    task_id: int
-    index: int
-    payload: object
-    timeout_s: float
-    identity: object = None
-
-
-def _spool_result(spool_dir: str, worker_id: int, result: object) -> str:
-    """Pickle one result to a spool file; the queue carries only the path.
-
-    The file lands via atomic rename, so the supervisor only ever sees a
-    complete spool file — a worker killed mid-pickle leaves a stray
-    ``.tmp`` that the spool-directory cleanup removes.
-    """
-    fd, tmp = tempfile.mkstemp(dir=spool_dir, prefix=f"w{worker_id}-",
-                               suffix=".tmp")
-    with os.fdopen(fd, "wb") as handle:
-        pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    final = tmp[: -len(".tmp")] + ".result"
-    os.replace(tmp, final)
-    return final
-
-
-def _detach_inherited_signals() -> None:
-    """Restore default signal handling in a forked child process.
-
-    A parent embedding this fleet in an asyncio loop (the serving
-    daemon) registers SIGTERM/SIGINT handlers backed by a wakeup-fd
-    self-pipe.  A forked worker inherits both the handler and the pipe,
-    so a ``terminate()`` aimed at the worker would write into the pipe
-    *shared with the parent's loop* — the parent then observes a
-    phantom SIGTERM and begins draining itself.  Detaching the wakeup
-    fd and restoring ``SIG_DFL`` makes child kills land on the child
-    alone (and lets plain ``terminate()`` actually kill it).
-    """
-    import signal
-
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):
-        pass  # not the main thread of the child, or already detached
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (ValueError, OSError):
-            pass
-
-
-def _worker_main(worker_id, fn, initializer, initargs, inbox, outbox,
-                 spool_dir):
-    """Worker process body: initialize once, then serve assignments."""
-    _detach_inherited_signals()
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:
-        # A worker that cannot initialize must say so rather than make
-        # every assignment look like a crash.
-        outbox.put((worker_id, None, "init-error",
-                    f"{type(exc).__name__}: {exc}"))
-        return
-    try:
-        while True:
-            message = inbox.get()
-            if message is None:
-                return
-            task_id, payload, attempt = message
-            try:
-                result = fn(payload, attempt)
-                path = _spool_result(spool_dir, worker_id, result)
-            except Exception as exc:
-                outbox.put((worker_id, task_id, "error",
-                            f"{type(exc).__name__}: {exc}"))
-            else:
-                outbox.put((worker_id, task_id, "ok", path))
-    except KeyboardInterrupt:
-        # Ctrl-C reaches the whole process group; exit quietly and let
-        # the supervisor's own interrupt handling clean up.
-        return
-
-
-@dataclass
-class _WorkerSlot:
-    """One supervised worker process and what it is currently running."""
-
-    worker_id: int
-    inbox: multiprocessing.Queue
-    outbox: multiprocessing.Queue
-    process: multiprocessing.Process
-    #: (task, attempt, deadline) while busy, None while idle.
-    current: tuple | None = None
-
-
-class Supervisor:
-    """Dispatch tasks to supervised worker processes.
-
-    :meth:`stream` yields one outcome per task, in task order: the worker
-    function's return value, or None for a task quarantined after
-    exhausting its retries (``fail_fast=False``).  With
-    ``fail_fast=True`` the first quarantine raises
-    :class:`~repro.errors.PoisonBatchError` instead.
-
-    ``validate``, if given, is called on every successful result and
-    returns an error string (the attempt is treated as failed with kind
-    ``corrupt-result``) or None.
-
-    The supervisor is the *pool* implementation of the
-    :class:`~repro.resilience.backends.ExecutorBackend` protocol
-    (registered as a virtual subclass there); ``dispatch_order`` is the
-    seam the sharded sweep uses to interleave the batch stream across
-    shards without changing yield order.
-    """
-
-    #: Backend name under the ExecutorBackend protocol.
-    name = "pool"
-    #: Optional cooperative-cancellation handle (anything with
-    #: ``is_set()``).  Checked at the top of every stream tick — between
-    #: batches, never mid-batch — so a served request's deadline or a
-    #: daemon drain can stop the fleet while landed results stay
-    #: flushable through :meth:`completed_unyielded`.
-    cancel_event = None
-
-    def __init__(
-        self,
-        fn: Callable,
-        initializer: Callable | None = None,
-        initargs: Sequence = (),
-        n_workers: int = 2,
-        policy: RetryPolicy | None = None,
-        validate: Callable | None = None,
-        fail_fast: bool = False,
-        poll_interval_s: float = 0.05,
-        max_worker_respawns: int = 32,
-    ):
-        self.fn = fn
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
-        self.n_workers = max(1, n_workers)
-        self.policy = policy or RetryPolicy()
-        self.validate = validate
-        self.fail_fast = fail_fast
-        self.poll_interval_s = poll_interval_s
-        self.max_worker_respawns = max_worker_respawns
-        self.ledger: FailureLedger | None = None
-        self.worker_respawns = 0
-        #: Optional callable ``tasks -> ordered tasks`` applied before
-        #: dispatch (e.g. ShardPlanner.interleave).  Results still
-        #: yield in task_id order, so this only shapes *execution*
-        #: order, never the record stream.
-        self.dispatch_order: Callable | None = None
-        self._workers: list[_WorkerSlot] = []
-        self._spool_dir: str | None = None
-        self._pending: deque = deque()
-        self._retry_heap: list = []
-        self._retry_seq = 0
-        self._outcomes: dict[int, tuple[str, object]] = {}
-        self._yielded = 0
-        self._closed = True
-
-    # -- worker lifecycle ------------------------------------------------
-    def _spawn(self, worker_id: int) -> _WorkerSlot:
-        inbox: multiprocessing.Queue = multiprocessing.Queue()
-        outbox: multiprocessing.Queue = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_worker_main,
-            args=(worker_id, self.fn, self.initializer, self.initargs,
-                  inbox, outbox, self._spool_dir),
-            daemon=True,
-        )
-        process.start()
-        return _WorkerSlot(worker_id, inbox, outbox, process)
-
-    def _kill(self, slot: _WorkerSlot) -> None:
-        process = slot.process
-        if process.is_alive():
-            process.terminate()
-            process.join(1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(1.0)
-        for q in (slot.inbox, slot.outbox):
-            q.cancel_join_thread()
-            q.close()
-
-    def _respawn(self, slot: _WorkerSlot) -> None:
-        self.worker_respawns += 1
-        if self.worker_respawns > self.max_worker_respawns:
-            raise ResilienceError(
-                f"worker respawn budget exhausted "
-                f"({self.max_worker_respawns}): the fleet is crash-looping"
-            )
-        self._kill(slot)
-        fresh = self._spawn(slot.worker_id)
-        slot.inbox, slot.outbox, slot.process = (
-            fresh.inbox, fresh.outbox, fresh.process
-        )
-        slot.current = None
-
-    # -- event loop ------------------------------------------------------
-    def stream(
-        self,
-        tasks: Sequence[SupervisedTask],
-        ledger: FailureLedger | None = None,
-    ) -> Iterator[object]:
-        """Run all tasks; yield outcomes in task order (see class doc)."""
-        tasks = list(tasks)
-        if [t.task_id for t in tasks] != list(range(len(tasks))):
-            raise ResilienceError(
-                "task_ids must be the contiguous sequence 0..n-1 in "
-                "submission order"
-            )
-        self.ledger = ledger if ledger is not None else FailureLedger(
-            self.policy, "raise" if self.fail_fast else "degrade"
-        )
-        self._spool_dir = tempfile.mkdtemp(prefix="repro-supervisor-")
-        ordered = (list(self.dispatch_order(tasks))
-                   if self.dispatch_order is not None else tasks)
-        self._pending = deque((task, 0) for task in ordered)
-        self._retry_heap = []
-        self._outcomes = {}
-        self._yielded = 0
-        self.worker_respawns = 0
-        self._workers = [
-            self._spawn(i)
-            for i in range(min(self.n_workers, max(1, len(tasks))))
-        ]
-        self._closed = False
-        try:
-            while self._yielded < len(tasks):
-                if (self.cancel_event is not None
-                        and self.cancel_event.is_set()):
-                    from repro.errors import SweepCancelledError
-
-                    raise SweepCancelledError(
-                        "sweep cancelled while streaming on the pool "
-                        "backend"
-                    )
-                self._dispatch()
-                self._drain(self._wait_budget())
-                self._reap_dead_workers()
-                self._enforce_deadlines()
-                while self._yielded in self._outcomes:
-                    status, value = self._outcomes.pop(self._yielded)
-                    self._yielded += 1
-                    yield value if status == "ok" else None
-        finally:
-            self.close()
-
-    def _dispatch(self) -> None:
-        now = time.monotonic()
-        while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, _, task, attempt = heapq.heappop(self._retry_heap)
-            # Retries jump the queue: a flaky batch should resolve (or
-            # quarantine) promptly rather than languish behind the tail.
-            self._pending.appendleft((task, attempt))
-        for slot in self._workers:
-            if not self._pending:
-                return
-            if slot.current is not None or not slot.process.is_alive():
-                continue
-            task, attempt = self._pending.popleft()
-            slot.inbox.put((task.task_id, task.payload, attempt))
-            slot.current = (task, attempt, now + task.timeout_s)
-
-    def _wait_budget(self) -> float:
-        """How long to block on the result queue this tick."""
-        now = time.monotonic()
-        budget = self.poll_interval_s
-        for slot in self._workers:
-            if slot.current is not None:
-                budget = min(budget, slot.current[2] - now)
-        if self._retry_heap:
-            budget = min(budget, self._retry_heap[0][0] - now)
-        return max(budget, 0.005)
-
-    def _drain(self, timeout_s: float) -> None:
-        """Poll every worker's private outbox for up to ``timeout_s``.
-
-        Returns after the first sweep that yields any message (so
-        deadlines and dead workers are re-examined promptly), or after
-        the timeout if all outboxes stay empty.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            handled = False
-            for slot in self._workers:
-                while True:
-                    try:
-                        message = slot.outbox.get_nowait()
-                    except (_queue.Empty, OSError, ValueError):
-                        # Empty, or a queue torn down by a concurrent
-                        # respawn — either way nothing to read here.
-                        break
-                    handled = True
-                    self._handle_message(message)
-            if handled:
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(0.01, remaining))
-
-    def _load_spooled(self, path: str) -> tuple[object, str | None]:
-        """Read one spooled result; (value, error-description or None)."""
-        try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError) as exc:
-            return None, f"spooled result unreadable: {exc}"
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return value, None
-
-    def _handle_message(self, message) -> None:
-        worker_id, task_id, status, value = message
-        if status == "init-error":
-            raise ResilienceError(f"worker initialization failed: {value}")
-        slot = self._workers[worker_id]
-        if slot.current is None or slot.current[0].task_id != task_id:
-            # Stale result: the assignment was already timed out and
-            # retried elsewhere.  Batch execution is deterministic, so
-            # dropping it loses nothing (but do drop its spool file).
-            if status == "ok":
-                try:
-                    os.unlink(value)
-                except OSError:
-                    pass
-            return
-        task, attempt, _deadline = slot.current
-        slot.current = None
-        if status == "ok":
-            value, spool_error = self._load_spooled(value)
-            error = (spool_error if spool_error is not None
-                     else self.validate(value) if self.validate else None)
-            if error is None:
-                self.ledger.record_success(task.index)
-                self._outcomes[task.task_id] = ("ok", value)
-            else:
-                self._record_failure(task, attempt, "corrupt-result", error)
-        else:
-            self._record_failure(task, attempt, "error", value)
-
-    def _record_failure(self, task: SupervisedTask, attempt: int,
-                        kind: str, cause: str) -> None:
-        retry = self.ledger.record_failure(
-            task.index, task.identity, attempt, kind, cause
-        )
-        if retry:
-            delay = self.policy.delay_s(task.index, attempt + 1)
-            self._retry_seq += 1
-            heapq.heappush(
-                self._retry_heap,
-                (time.monotonic() + delay, self._retry_seq, task,
-                 attempt + 1),
-            )
-            return
-        self._outcomes[task.task_id] = ("poison", None)
-        if self.fail_fast:
-            raise PoisonBatchError(
-                f"batch {task.index} quarantined after {attempt + 1} "
-                f"failed attempt(s) (last: {kind}: {cause}) under "
-                "fail_policy='raise'"
-            )
-
-    def _reap_dead_workers(self) -> None:
-        for slot in self._workers:
-            if slot.process.is_alive():
-                continue
-            task_info, slot.current = slot.current, None
-            exitcode = slot.process.exitcode
-            self._respawn(slot)
-            if task_info is not None:
-                task, attempt, _deadline = task_info
-                self._record_failure(
-                    task, attempt, "crash",
-                    f"worker exited with code {exitcode}"
-                    if exitcode is not None else "worker died mid-batch",
-                )
-
-    def _enforce_deadlines(self) -> None:
-        now = time.monotonic()
-        for slot in self._workers:
-            if slot.current is None or slot.current[2] > now:
-                continue
-            task, attempt, _deadline = slot.current
-            slot.current = None
-            self._respawn(slot)  # kills the hung process first
-            self._record_failure(
-                task, attempt, "timeout",
-                f"exceeded the {task.timeout_s:.1f}s batch deadline",
-            )
-
-    # -- interruption support -------------------------------------------
-    def completed_unyielded(self) -> list[tuple[int, object]]:
-        """Results that landed but were not yet consumed from the stream.
-
-        On an interrupted sweep the caller flushes these to the batch
-        cache so completed work is never lost.
-        """
-        return [
-            (task_id, value)
-            for task_id, (status, value) in sorted(self._outcomes.items())
-            if status == "ok"
-        ]
-
-    def close(self) -> None:
-        """Stop every worker; idempotent, safe mid-stream."""
-        if self._closed:
-            return
-        self._closed = True
-        for slot in self._workers:
-            if slot.process.is_alive() and slot.current is None:
-                try:
-                    slot.inbox.put_nowait(None)
-                except (ValueError, OSError):
-                    pass
-        deadline = time.monotonic() + 1.0
-        for slot in self._workers:
-            slot.process.join(max(0.0, deadline - time.monotonic()))
-        for slot in self._workers:
-            self._kill(slot)
-        if self._spool_dir is not None:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
-            self._spool_dir = None
+#: The fleet under its ``pool`` name (round-robin homes over workers).
+Supervisor = ProcessFleet

@@ -466,8 +466,9 @@ class TestShardedExecutionParity:
         for backend in ("serial", "pool", "nodes"):
             for shards in (1, 2, 4):
                 assert f"{backend}x{shards}" in out["combinations"]
-        # The chaos leg observed both node fault kinds and quarantined.
-        assert out["chaos_fault_kinds"] == ["node-lost",
+        # The chaos leg observed both node fault kinds and quarantined;
+        # its poison batch is a worker crash and is booked as one.
+        assert out["chaos_fault_kinds"] == ["crash", "node-lost",
                                             "shard-partition"]
         assert out["n_quarantined"] >= 1
 

@@ -1,11 +1,12 @@
-"""Tests for the executor-backend abstraction and the nodes backend.
+"""Tests for the executor-backend abstraction and the process fleet.
 
-The serial backend is the parity reference; the nodes backend runs one
-process per shard over socketpair links with work stealing and a
-budgeted node-loss recovery ladder.  These tests pin the shared
-``stream`` contract (outcomes in task order, ledger accounting,
-``completed_unyielded`` flush) and every rung of the recovery ladder:
-retry, respawn, shard reassignment, and the no-survivors failure.
+The serial backend is the parity reference; the process fleet (the
+``pool`` and ``nodes`` backends) runs its processes over socketpair
+links with work stealing and a budgeted node-loss recovery ladder.
+These tests pin the shared ``stream`` contract (outcomes in task order,
+ledger accounting, ``completed_unyielded`` flush) and every rung of the
+recovery ladder: retry, respawn, shard reassignment, and the
+no-survivors failure.
 
 Runs under the ``chaos`` marker: most tests inject node-level faults.
 """
@@ -14,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.sweep import SweepPlan
 from repro.errors import PoisonBatchError, ResilienceError
 from repro.resilience import (
     BACKEND_NAMES,
@@ -71,22 +73,34 @@ def _bad_init():
     raise RuntimeError("broken node image")
 
 
+def _sweep_fleets():
+    """The fleets the sweep's pool and nodes seams build (unstarted)."""
+    from repro.core import sweep
+    from repro.core.envspace import EnvSpace
+
+    args = (SweepPlan(arch="milan", workload_names=("nqueens",)),
+            EnvSpace(), None, FAST, "degrade")
+    return (sweep._make_supervisor(2, *args),
+            sweep._make_nodes_backend(2, *args))
+
+
 class TestProtocol:
     def test_backend_axis_names(self):
         assert BACKEND_NAMES == ("serial", "pool", "nodes")
-        assert SerialBackend.name == "serial"
-        assert Supervisor.name == "pool"
-        assert NodesBackend.name == "nodes"
+        assert SerialBackend(_work).name == "serial"
+        pool, nodes = _sweep_fleets()
+        assert pool.name == "pool"
+        assert nodes.name == "nodes"
 
-    def test_supervisor_is_a_virtual_backend(self):
-        assert issubclass(Supervisor, ExecutorBackend)
-        supervisor = Supervisor(_work, n_workers=1, policy=FAST)
-        assert isinstance(supervisor, ExecutorBackend)
-        supervisor.close()
+    def test_fleet_is_an_executor_backend(self):
+        for backend in (SerialBackend(_work), *_sweep_fleets(),
+                        Supervisor(_work, n_processes=1, policy=FAST)):
+            assert isinstance(backend, ExecutorBackend)
+            backend.close()
 
     def test_every_backend_closes_idempotently(self):
         serial = SerialBackend(_work, policy=FAST)
-        nodes = NodesBackend(_work, n_nodes=2, policy=FAST)
+        nodes = NodesBackend(_work, n_processes=2, policy=FAST)
         for backend in (serial, nodes):
             backend.close()
             backend.close()
@@ -156,7 +170,7 @@ class TestSerialBackend:
 
 class TestNodesHappyPath:
     def test_results_stream_in_task_order(self):
-        backend = NodesBackend(_work, n_nodes=3, policy=FAST)
+        backend = NodesBackend(_work, n_processes=3, policy=FAST)
         try:
             outcomes = list(backend.stream(_tasks(["ok"] * 9)))
         finally:
@@ -168,21 +182,21 @@ class TestNodesHappyPath:
         assert len(report.assignments) == 9
 
     def test_non_contiguous_task_ids_rejected(self):
-        backend = NodesBackend(_work, n_nodes=1, policy=FAST)
+        backend = NodesBackend(_work, n_processes=1, policy=FAST)
         bad = [SupervisedTask(task_id=2, index=0, payload=(0, "ok"),
                               timeout_s=1.0)]
         with pytest.raises(ResilienceError):
             list(backend.stream(bad))
 
     def test_home_shard_override_validated(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         backend.home_shards = [0]
         with pytest.raises(ResilienceError):
             list(backend.stream(_tasks(["ok", "ok"])))
 
     def test_shared_ledger_is_used(self):
         ledger = FailureLedger(FAST, "degrade")
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         list(backend.stream(_tasks(["ok", "ok"]), ledger))
         assert backend.ledger is ledger
 
@@ -191,7 +205,7 @@ class TestWorkStealing:
     def test_starved_shard_steals_and_order_is_preserved(self):
         # All six tasks homed on shard 0; shard 1 starts starved and
         # must steal, yet the outcome order never changes.
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         backend.home_shards = [0] * 6
         modes = ["slow", "slow", "slow", "slow", "slow", "slow"]
         try:
@@ -208,7 +222,7 @@ class TestWorkStealing:
         assert 1 in report.assignments
 
     def test_no_steals_when_both_lanes_are_fed(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         backend.home_shards = [0, 1, 0, 1]
         try:
             outcomes = list(backend.stream(
@@ -227,7 +241,7 @@ class TestNodeFaultRecovery:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("node-lost", 0),),
-            n_nodes=2, policy=FAST,
+            n_processes=2, policy=FAST,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok", "ok"])))
@@ -244,7 +258,7 @@ class TestNodeFaultRecovery:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("shard-partition", 1),),
-            n_nodes=2, policy=FAST,
+            n_processes=2, policy=FAST,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok", "ok"])))
@@ -261,7 +275,7 @@ class TestNodeFaultRecovery:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("node-lost", 0, attempts=None),),
-            n_nodes=2, policy=FAST,
+            n_processes=2, policy=FAST,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok"])))
@@ -274,7 +288,7 @@ class TestNodeFaultRecovery:
                    for a in report.batches[0].attempts)
 
     def test_hung_node_hits_the_deadline(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         try:
             outcomes = list(backend.stream(
                 _tasks(["hang", "ok"], timeout_s=0.5)
@@ -287,7 +301,7 @@ class TestNodeFaultRecovery:
         assert backend.worker_respawns >= 1
 
     def test_worker_exception_is_a_plain_error(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         try:
             outcomes = list(backend.stream(_tasks(["error", "ok"])))
         finally:
@@ -299,7 +313,7 @@ class TestNodeFaultRecovery:
         assert backend.worker_respawns == 0  # the node survived
 
     def test_validation_failure_is_corrupt_result(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST,
+        backend = NodesBackend(_work, n_processes=2, policy=FAST,
                                validate=_validate)
         try:
             outcomes = list(backend.stream(_tasks(["always-bad", "ok"])))
@@ -313,7 +327,7 @@ class TestNodeFaultRecovery:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("node-lost", 0, attempts=None),),
-            n_nodes=2, policy=FAST, fail_fast=True,
+            n_processes=2, policy=FAST, fail_fast=True,
         )
         try:
             with pytest.raises(PoisonBatchError, match="node-lost"):
@@ -330,7 +344,7 @@ class TestReassignment:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("shard-partition", 0),),
-            n_nodes=2, policy=FAST, max_node_respawns=0,
+            n_processes=2, policy=FAST, max_respawns=0,
         )
         backend.home_shards = [0, 0, 0, 1]
         try:
@@ -347,7 +361,7 @@ class TestReassignment:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("shard-partition", 0, attempts=None),),
-            n_nodes=1, policy=FAST, max_node_respawns=0,
+            n_processes=1, policy=FAST, max_respawns=0,
         )
         try:
             with pytest.raises(ResilienceError):
@@ -361,7 +375,7 @@ class TestReassignment:
         backend = NodesBackend(
             _work, initializer=install_chaos,
             initargs=(_node_plan("shard-partition", 0, attempts=None),),
-            n_nodes=2, policy=FAST, max_node_respawns=0,
+            n_processes=2, policy=FAST, max_respawns=0,
             max_reassignments=0,
         )
         try:
@@ -373,7 +387,7 @@ class TestReassignment:
 
 class TestInterruption:
     def test_completed_unyielded_after_partial_consumption(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, n_processes=2, policy=FAST)
         stream = backend.stream(_tasks(["slow", "ok", "ok"]))
         try:
             # Task 0 is slow, so later results land before it yields;
@@ -388,7 +402,7 @@ class TestInterruption:
         assert all(v.startswith("done-") for _tid, v in flushed)
 
     def test_init_error_surfaces(self):
-        backend = NodesBackend(_work, initializer=_bad_init, n_nodes=1,
+        backend = NodesBackend(_work, initializer=_bad_init, n_processes=1,
                                policy=FAST)
         try:
             with pytest.raises(ResilienceError,

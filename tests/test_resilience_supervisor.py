@@ -1,8 +1,8 @@
-"""Tests for the supervised worker pool (deadlines, respawn, retry).
+"""Tests for the supervised process fleet (deadlines, respawn, retry).
 
 Runs under the ``chaos`` marker: every test here injects a worker-level
 fault (crash, hang, exception, corrupt payload) and asserts the
-supervisor's recovery behavior.
+fleet's recovery behavior.
 """
 
 import os
@@ -11,10 +11,18 @@ import time
 import pytest
 
 from repro.errors import PoisonBatchError, ResilienceError
-from repro.resilience import FailureLedger, RetryPolicy, Supervisor
+from repro.resilience import (
+    FailureLedger,
+    NodesBackend,
+    RetryPolicy,
+    Supervisor,
+)
 from repro.resilience.supervisor import SupervisedTask
 
 pytestmark = pytest.mark.chaos
+
+#: The fleet under each multiprocess backend name.
+FLEETS = {"pool": Supervisor, "nodes": NodesBackend}
 
 #: Fast retry policy so fault tests stay sub-second per retry round.
 FAST = RetryPolicy(max_retries=2, base_delay_s=0.01, max_delay_s=0.05,
@@ -48,9 +56,9 @@ def _tasks(modes, timeout_s=10.0):
     ]
 
 
-def _run(modes, timeout_s=10.0, **kwargs):
+def _run(modes, timeout_s=10.0, fleet=Supervisor, **kwargs):
     kwargs.setdefault("policy", FAST)
-    supervisor = Supervisor(_work, n_workers=2, **kwargs)
+    supervisor = fleet(_work, n_processes=2, **kwargs)
     outcomes = list(supervisor.stream(_tasks(modes, timeout_s)))
     return supervisor, outcomes
 
@@ -63,7 +71,7 @@ class TestHappyPath:
         assert supervisor.ledger.build_report().clean
 
     def test_non_contiguous_task_ids_rejected(self):
-        supervisor = Supervisor(_work, n_workers=1, policy=FAST)
+        supervisor = Supervisor(_work, n_processes=1, policy=FAST)
         bad = [SupervisedTask(task_id=5, index=0, payload=(0, "ok"),
                               timeout_s=1.0)]
         with pytest.raises(ResilienceError):
@@ -71,12 +79,17 @@ class TestHappyPath:
 
 
 class TestFaultRecovery:
-    def test_crash_is_retried_on_a_fresh_worker(self):
-        supervisor, outcomes = _run(["crash", "ok"])
+    @pytest.mark.parametrize("backend", sorted(FLEETS))
+    def test_crash_is_retried_on_a_fresh_worker(self, backend):
+        # A plain worker death (exit 7, no chaos exit code) is a crash
+        # on every fleet configuration, never a node fault.
+        supervisor, outcomes = _run(["crash", "ok"], fleet=FLEETS[backend])
         assert outcomes == ["done-0", "done-1"]
         assert supervisor.worker_respawns >= 1
         report = supervisor.ledger.build_report()
-        assert report.batches[0].attempts[0].kind == "crash"
+        attempt = report.batches[0].attempts[0]
+        assert attempt.kind == "crash"
+        assert attempt.cause == "worker exited with code 7"
         assert report.batches[0].recovered
 
     def test_hang_blows_deadline_and_recovers(self):
@@ -117,7 +130,7 @@ class TestPoisonHandling:
         assert len(report.batches[0].attempts) == 1 + FAST.max_retries
 
     def test_fail_fast_raises_poison_batch_error(self):
-        supervisor = Supervisor(_work, n_workers=2, policy=FAST,
+        supervisor = Supervisor(_work, n_processes=2, policy=FAST,
                                 validate=_validate, fail_fast=True)
         with pytest.raises(PoisonBatchError):
             list(supervisor.stream(_tasks(["always-bad", "ok"])))
@@ -125,7 +138,7 @@ class TestPoisonHandling:
     def test_completed_results_survive_fail_fast(self):
         """Work that landed before the poison verdict stays retrievable,
         so an interrupted sweep can flush it to its cache."""
-        supervisor = Supervisor(_work, n_workers=2, policy=FAST,
+        supervisor = Supervisor(_work, n_processes=2, policy=FAST,
                                 validate=_validate, fail_fast=True)
         with pytest.raises(PoisonBatchError):
             list(supervisor.stream(_tasks(["always-bad", "ok"])))
@@ -135,8 +148,8 @@ class TestPoisonHandling:
 
 class TestRespawnBudget:
     def test_crash_loop_exhausts_budget(self):
-        supervisor = Supervisor(_work, n_workers=1, policy=FAST,
-                                max_worker_respawns=0)
+        supervisor = Supervisor(_work, n_processes=1, policy=FAST,
+                                max_respawns=0)
         with pytest.raises(ResilienceError, match="respawn budget"):
             list(supervisor.stream(_tasks(["crash"])))
 
@@ -144,7 +157,7 @@ class TestRespawnBudget:
 class TestLedgerSharing:
     def test_external_ledger_is_used(self):
         ledger = FailureLedger(FAST, "degrade")
-        supervisor = Supervisor(_work, n_workers=2, policy=FAST)
+        supervisor = Supervisor(_work, n_processes=2, policy=FAST)
         outcomes = list(supervisor.stream(_tasks(["error", "ok"]),
                                           ledger=ledger))
         assert outcomes == ["done-0", "done-1"]
